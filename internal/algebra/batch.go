@@ -55,18 +55,7 @@ func HashJoinBatch(l, r *value.Batch, lcols, rcols []int) (*value.Batch, Stats, 
 	if len(lcols) == 0 || len(lcols) != len(rcols) {
 		return nil, Stats{}, fmt.Errorf("algebra: join needs matching non-empty key lists, got %v and %v", lcols, rcols)
 	}
-	for _, c := range lcols {
-		if c < 0 || c >= len(l.Cols) {
-			return nil, Stats{}, fmt.Errorf("algebra: left join key %d out of range for %s", c, l.Schema)
-		}
-	}
-	for _, c := range rcols {
-		if c < 0 || c >= len(r.Cols) {
-			return nil, Stats{}, fmt.Errorf("algebra: right join key %d out of range for %s", c, r.Schema)
-		}
-	}
-	stats := Stats{TuplesRead: l.Len() + r.Len()}
-
+	read := l.Len() + r.Len()
 	buildLeft := l.Len() <= r.Len()
 	build, probe := l, r
 	bcols, pcols := lcols, rcols
@@ -74,35 +63,86 @@ func HashJoinBatch(l, r *value.Batch, lcols, rcols []int) (*value.Batch, Stats, 
 		build, probe = r, l
 		bcols, pcols = rcols, lcols
 	}
+	ht, bst, err := BuildBatchHashTable(build, bcols)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	out, pst, err := ht.Probe(probe, pcols, buildLeft)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	if build.Sel != nil {
+		value.PutSel(build.Sel)
+		build.Sel = nil
+	}
+	return out, Stats{TuplesRead: read, Hashes: bst.Hashes + pst.Hashes, TuplesEmitted: pst.TuplesEmitted}, nil
+}
 
-	// Hash table of physical row indices: one chain per distinct key,
-	// linked through `next` so appending a row never re-allocates the
-	// map key string.
-	type chain struct{ head, tail int32 }
-	table := make(map[string]*chain, build.Len())
-	next := make([]int32, build.Rows)
+// BatchHashTable is a hash-join build side over a batch's physical rows:
+// one chain per distinct key, linked through next so appending a row
+// never re-allocates the map key string. A broadcast join builds it once
+// over the small input and probes it with every partition of the big
+// one; Probe only reads it, so partitions may probe concurrently.
+type BatchHashTable struct {
+	build *value.Batch
+	cols  []int
+	table map[string]*rowChain
+	next  []int32
+}
+
+type rowChain struct{ head, tail int32 }
+
+// BuildBatchHashTable hashes the selected rows of build on cols. The
+// build batch is not consumed: the table keeps reading its columns, and
+// the caller frees its selection vector after the last probe.
+func BuildBatchHashTable(build *value.Batch, cols []int) (*BatchHashTable, Stats, error) {
+	for _, c := range cols {
+		if c < 0 || c >= len(build.Cols) {
+			return nil, Stats{}, fmt.Errorf("algebra: build key %d out of range for %s", c, build.Schema)
+		}
+	}
+	ht := &BatchHashTable{
+		build: build,
+		cols:  cols,
+		table: make(map[string]*rowChain, build.Len()),
+		next:  make([]int32, build.Rows),
+	}
 	var keyBuf []byte
 	bn := build.Len()
 	for i := 0; i < bn; i++ {
 		row := int32(build.Row(i))
-		if batchNullOn(build, row, bcols) {
+		if batchNullOn(build, row, cols) {
 			continue // NULL keys never join
 		}
-		keyBuf = build.AppendKey(keyBuf[:0], int(row), bcols)
-		next[row] = -1
-		if c, ok := table[string(keyBuf)]; ok {
-			next[c.tail] = row
+		keyBuf = build.AppendKey(keyBuf[:0], int(row), cols)
+		ht.next[row] = -1
+		if c, ok := ht.table[string(keyBuf)]; ok {
+			ht.next[c.tail] = row
 			c.tail = row
 		} else {
-			table[string(keyBuf)] = &chain{head: row, tail: row}
+			ht.table[string(keyBuf)] = &rowChain{head: row, tail: row}
 		}
 	}
-	stats.Hashes += bn
+	return ht, Stats{TuplesRead: bn, Hashes: bn}, nil
+}
 
-	// Probe in input order, collecting matched (left, right) physical
-	// row pairs in output order.
-	lIdx := value.GetSel()
-	rIdx := value.GetSel()
+// Probe joins probe against the table in probe order, gathering the
+// matches column-wise. buildLeft selects the output column order: build
+// ++ probe when true, probe ++ build when false. Stats counts only the
+// probe side's work. probe is consumed.
+func (ht *BatchHashTable) Probe(probe *value.Batch, pcols []int, buildLeft bool) (*value.Batch, Stats, error) {
+	if len(pcols) != len(ht.cols) {
+		return nil, Stats{}, fmt.Errorf("algebra: probe keys %v against build keys %v", pcols, ht.cols)
+	}
+	for _, c := range pcols {
+		if c < 0 || c >= len(probe.Cols) {
+			return nil, Stats{}, fmt.Errorf("algebra: probe key %d out of range for %s", c, probe.Schema)
+		}
+	}
+	stats := Stats{TuplesRead: probe.Len()}
+	bIdx := value.GetSel()
+	pIdx := value.GetSel()
+	var keyBuf []byte
 	pn := probe.Len()
 	for i := 0; i < pn; i++ {
 		row := int32(probe.Row(i))
@@ -111,45 +151,42 @@ func HashJoinBatch(l, r *value.Batch, lcols, rcols []int) (*value.Batch, Stats, 
 		}
 		stats.Hashes++
 		keyBuf = probe.AppendKey(keyBuf[:0], int(row), pcols)
-		c, ok := table[string(keyBuf)]
+		c, ok := ht.table[string(keyBuf)]
 		if !ok {
 			continue
 		}
-		for m := c.head; ; m = next[m] {
-			if buildLeft {
-				lIdx = append(lIdx, m)
-				rIdx = append(rIdx, row)
-			} else {
-				lIdx = append(lIdx, row)
-				rIdx = append(rIdx, m)
-			}
+		for m := c.head; ; m = ht.next[m] {
+			bIdx = append(bIdx, m)
+			pIdx = append(pIdx, row)
 			if m == c.tail {
 				break
 			}
 		}
 	}
 
+	first, second := ht.build, probe
+	fIdx, sIdx := bIdx, pIdx
+	if !buildLeft {
+		first, second = probe, ht.build
+		fIdx, sIdx = pIdx, bIdx
+	}
 	out := &value.Batch{
-		Schema: l.Schema.Concat(r.Schema),
-		Cols:   make([]*value.Vec, 0, len(l.Cols)+len(r.Cols)),
-		Rows:   len(lIdx),
+		Schema: first.Schema.Concat(second.Schema),
+		Cols:   make([]*value.Vec, 0, len(first.Cols)+len(second.Cols)),
+		Rows:   len(fIdx),
 	}
-	for _, vec := range l.Cols {
-		out.Cols = append(out.Cols, vec.Gather(lIdx))
+	for _, vec := range first.Cols {
+		out.Cols = append(out.Cols, vec.Gather(fIdx))
 	}
-	for _, vec := range r.Cols {
-		out.Cols = append(out.Cols, vec.Gather(rIdx))
+	for _, vec := range second.Cols {
+		out.Cols = append(out.Cols, vec.Gather(sIdx))
 	}
-	stats.TuplesEmitted = len(lIdx)
-	value.PutSel(lIdx)
-	value.PutSel(rIdx)
-	if l.Sel != nil {
-		value.PutSel(l.Sel)
-		l.Sel = nil
-	}
-	if r.Sel != nil {
-		value.PutSel(r.Sel)
-		r.Sel = nil
+	stats.TuplesEmitted = len(bIdx)
+	value.PutSel(bIdx)
+	value.PutSel(pIdx)
+	if probe.Sel != nil {
+		value.PutSel(probe.Sel)
+		probe.Sel = nil
 	}
 	return out, stats, nil
 }

@@ -370,7 +370,7 @@ func (e *Engine) streamScan(ctx *execCtx, sc *plan.Scan) (*relIter, error) {
 	if err := e.lockFragments(ctx, t, frags); err != nil {
 		return nil, err
 	}
-	if e.vecEligible(ctx) {
+	if e.vectorized {
 		return e.streamScanVec(ctx, t, frags, sc), nil
 	}
 	specs := make([]pool.CallSpec, len(frags))
@@ -404,50 +404,30 @@ func (e *Engine) streamScan(ctx *execCtx, sc *plan.Scan) (*relIter, error) {
 	return &relIter{next: next, wait: wait}, nil
 }
 
-// streamScanVec delivers a leaf scan fragment-at-a-time over the column
-// caches: each fragment filters columnar where it lives and only the
+// streamScanVec delivers a leaf scan fragment-at-a-time through
+// OFM.ScanBatch: each fragment filters where it lives and only the
 // qualifying rows materialize into the delivered batch, lazily as the
-// consumer asks. A fragment whose cache declines (pending overlay
-// writes, uncacheable kinds) falls back to a row scan for that fragment
-// only — the stream keeps going either way.
+// consumer asks.
 func (e *Engine) streamScanVec(ctx *execCtx, t *table, frags []int, sc *plan.Scan) *relIter {
 	i := 0
 	next := func() (*value.Relation, error) {
 		for i < len(frags) {
 			f := t.frags[frags[i]]
 			i++
-			b, built, err := f.ofm.ScanBatch(ctx.view, sc.Pred, nil)
-			if ctx.mem != nil && built > 0 {
-				_ = ctx.mem.charge(built)
-			}
+			b, _, err := f.ofm.ScanBatch(ctx.view, sc.Pred, nil)
 			if err != nil {
 				return nil, err
 			}
-			out := value.NewRelation(sc.Out)
-			if b != nil {
-				if b.Len() == 0 {
-					vecFreeBatch(b)
-					continue
-				}
-				if f.pe != ctx.s.pe {
-					e.m.Send(f.pe, ctx.s.pe, b.Size())
-				}
-				out.Tuples = b.Materialize().Tuples
+			if b.Len() == 0 {
 				vecFreeBatch(b)
-			} else {
-				rel, err := f.ofm.Scan(ctx.view, sc.Pred, nil)
-				if err != nil {
-					return nil, err
-				}
-				if len(rel.Tuples) == 0 {
-					continue
-				}
-				if f.pe != ctx.s.pe {
-					e.m.Send(f.pe, ctx.s.pe, rel.Size())
-				}
-				out.Tuples = rel.Tuples
+				continue
 			}
-			_ = ctx.chargeRel(out)
+			if f.pe != ctx.s.pe {
+				e.m.Send(f.pe, ctx.s.pe, b.Size())
+			}
+			out := value.NewRelation(sc.Out)
+			out.Tuples = b.Materialize().Tuples
+			vecFreeBatch(b)
 			return out, nil
 		}
 		return nil, nil
@@ -487,38 +467,12 @@ func (e *Engine) streamIndexProbe(ctx *execCtx, pr *plan.IndexProbe) (*relIter, 
 }
 
 // streamSelect applies a coordinator-side residual filter to each batch,
-// compiling (or binding) the predicate once for the whole stream.
+// compiling the predicate once for the whole stream.
 func (e *Engine) streamSelect(ctx *execCtx, sl *plan.Select, child *relIter) (*relIter, error) {
-	schema := sl.Child.Schema()
-	var filter func(*value.Relation) (*value.Relation, error)
-	if e.compiled {
-		pred, err := expr.CompilePredicate(expr.Clone(sl.Pred), schema)
-		if err != nil {
-			child.wait()
-			return nil, err
-		}
-		filter = func(rel *value.Relation) (*value.Relation, error) {
-			out, st, err := algebra.Select(rel, pred)
-			if err != nil {
-				return nil, err
-			}
-			e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, true))
-			return out, nil
-		}
-	} else {
-		bound := expr.Clone(sl.Pred)
-		if _, err := expr.Bind(bound, schema); err != nil {
-			child.wait()
-			return nil, err
-		}
-		filter = func(rel *value.Relation) (*value.Relation, error) {
-			out, st, err := algebra.SelectInterpreted(rel, bound)
-			if err != nil {
-				return nil, err
-			}
-			e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, false))
-			return out, nil
-		}
+	pred, err := expr.CompilePredicate(expr.Clone(sl.Pred), sl.Child.Schema())
+	if err != nil {
+		child.wait()
+		return nil, err
 	}
 	next := func() (*value.Relation, error) {
 		for {
@@ -526,10 +480,11 @@ func (e *Engine) streamSelect(ctx *execCtx, sl *plan.Select, child *relIter) (*r
 			if err != nil || rel == nil {
 				return nil, err
 			}
-			out, err := filter(rel)
+			out, st, err := algebra.Select(rel, pred)
 			if err != nil {
 				return nil, err
 			}
+			e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, true))
 			if len(out.Tuples) == 0 {
 				continue
 			}

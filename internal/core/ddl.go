@@ -54,7 +54,7 @@ func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment
 			Machine:  e.m,
 			Kind:     ofm.Persistent,
 			Log:      log,
-			Compiled: e.compiled,
+			Compiled: true,
 			Decide:   decide,
 			Horizon:  e.txns.Horizon,
 			StatsFn: func(rd int, bd int64) {

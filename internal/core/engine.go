@@ -38,9 +38,6 @@ type Config struct {
 	// Allocator places fragments onto PEs; nil uses the central
 	// least-loaded policy (the paper's central resource management).
 	Allocator fragment.Allocator
-	// Compiled selects compiled expression evaluation in the OFMs
-	// (default true; false forces the interpreter — experiment E4).
-	Compiled *bool
 	// Optimizer selects the knowledge-base rule groups (default: all).
 	Optimizer *optimizer.Options
 	// TCAlgorithm picks the transitive-closure strategy for recursive
@@ -60,12 +57,11 @@ type Config struct {
 	// the all-2PL baseline (S-locks on reads) — experiment E16 measures
 	// the difference.
 	MVCC *bool
-	// Vectorized toggles columnar batch execution (default true): eligible
-	// read plans run over the OFM fragment column caches with selection
-	// vectors, materializing tuples only at the plan root. False forces
-	// tuple-at-a-time execution everywhere — the E20 baseline. Vectorized
-	// scans require compiled expressions and MVCC snapshot reads; when
-	// either is off the engine falls back to the row path regardless.
+	// Vectorized toggles columnar batch execution (default true): every
+	// partitioned plan node runs on the batch dataflow over the OFM
+	// fragment column caches, under either MVCC mode and inside
+	// transactions, materializing tuples only at the plan root. False
+	// runs plans on the central row executor — the E20 baseline.
 	Vectorized *bool
 	// FaultDomain scopes injected faults to this engine's stable stores.
 	// Nil uses the process-wide default domain. Replication experiments
@@ -99,7 +95,6 @@ type Engine struct {
 	opt   *optimizer.Optimizer
 	alloc fragment.Allocator
 
-	compiled   bool
 	tcAlgo     algebra.TCAlgorithm
 	semiNaive  bool
 	mvcc       bool
@@ -159,10 +154,6 @@ func New(cfg Config) (*Engine, error) {
 	if alloc == nil {
 		alloc = fragment.CentralAllocator{AvoidDiskPEs: m.NumPEs() > len(m.DiskPEs())}
 	}
-	compiled := true
-	if cfg.Compiled != nil {
-		compiled = *cfg.Compiled
-	}
 	optOpts := optimizer.AllRules()
 	if cfg.Optimizer != nil {
 		optOpts = *cfg.Optimizer
@@ -195,7 +186,6 @@ func New(cfg Config) (*Engine, error) {
 		txns:       txn.NewManager(),
 		opt:        optimizer.New(cat, optOpts),
 		alloc:      alloc,
-		compiled:   compiled,
 		tcAlgo:     cfg.TCAlgorithm,
 		semiNaive:  semiNaive,
 		mvcc:       mvcc,

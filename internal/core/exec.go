@@ -53,19 +53,21 @@ func (e *Engine) execPlan(s *Session, tx *txn.Txn, view ofm.View, root plan.Node
 	if err != nil {
 		return nil, err
 	}
-	// Partitioned paths charge mid-gather but cannot error there; a
-	// breach anywhere aborts the statement here at the latest.
+	// Gathers charge the budget but cannot error there; the breach is
+	// sticky, and a breach anywhere aborts the statement here at the
+	// latest.
 	if err := ctx.mem.breach(); err != nil {
 		return nil, err
 	}
 	return rel, nil
 }
 
+// exec runs one plan node. With batch execution on, every partitioned
+// node goes to the batch dataflow (execvec.go); the switch below is the
+// central row executor, which runs each node at the coordinator.
 func (e *Engine) exec(ctx *execCtx, n plan.Node) (*value.Relation, error) {
-	// Columnar batch execution intercepts eligible subtrees (see
-	// execvec.go); everything it declines runs tuple-at-a-time below.
-	if rel, handled, err := e.execVec(ctx, n); handled {
-		return rel, err
+	if e.batched(n) {
+		return e.execBatch(ctx, n)
 	}
 	switch t := n.(type) {
 	case *plan.Scan:
@@ -77,21 +79,14 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node) (*value.Relation, error) {
 	case *plan.Project:
 		return e.execProject(ctx, t)
 	case *plan.Join:
-		return e.execJoin(ctx, t)
+		return e.execCentralJoin(ctx, t)
 	case *plan.Exchange:
-		// An exchange at the materialization root: run the partitioned
-		// pipeline below it and gather at the coordinator.
-		pr, err := e.execPart(ctx, t)
-		if err != nil {
-			return nil, err
-		}
-		return e.gatherPart(ctx, pr, t.Schema()), nil
+		// The central executor has one partition, so exchanges have
+		// nothing to move.
+		return e.exec(ctx, t.Child)
 	case *plan.Aggregate:
 		return e.execAggregate(ctx, t)
 	case *plan.Sort:
-		if t.Parallel {
-			return e.execPartSort(ctx, t)
-		}
 		rel, err := e.exec(ctx, t.Child)
 		if err != nil {
 			return nil, err
@@ -106,9 +101,6 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node) (*value.Relation, error) {
 		e.m.PE(ctx.s.pe).Advance(e.m.Cost().CompareCost(st.Compares))
 		return out, nil
 	case *plan.Distinct:
-		if t.Parallel {
-			return e.execPartDistinct(ctx, t)
-		}
 		rel, err := e.exec(ctx, t.Child)
 		if err != nil {
 			return nil, err
@@ -286,27 +278,15 @@ func (e *Engine) execSelect(ctx *execCtx, s *plan.Select) (*value.Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	if e.compiled {
-		pred, err := expr.CompilePredicate(expr.Clone(s.Pred), rel.Schema)
-		if err != nil {
-			return nil, err
-		}
-		out, st, err := algebra.Select(rel, pred)
-		if err != nil {
-			return nil, err
-		}
-		e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, true))
-		return out, nil
-	}
-	bound := expr.Clone(s.Pred)
-	if _, err := expr.Bind(bound, rel.Schema); err != nil {
-		return nil, err
-	}
-	out, st, err := algebra.SelectInterpreted(rel, bound)
+	pred, err := expr.CompilePredicate(expr.Clone(s.Pred), rel.Schema)
 	if err != nil {
 		return nil, err
 	}
-	e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, false))
+	out, st, err := algebra.Select(rel, pred)
+	if err != nil {
+		return nil, err
+	}
+	e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, true))
 	return out, nil
 }
 
@@ -332,24 +312,9 @@ func (e *Engine) execProject(ctx *execCtx, p *plan.Project) (*value.Relation, er
 	return out, nil
 }
 
-// execJoin dispatches on the optimizer's chosen method. Distributed
-// methods run on the partitioned dataflow path — over base-table scans
-// and over arbitrary intermediates alike — and gather only the finished
-// join output at the coordinator.
-func (e *Engine) execJoin(ctx *execCtx, j *plan.Join) (*value.Relation, error) {
-	switch j.Method {
-	case plan.JoinColocated, plan.JoinRepartition, plan.JoinBroadcast:
-		pr, err := e.execPartJoin(ctx, j)
-		if err != nil {
-			return nil, err
-		}
-		return e.gatherPart(ctx, pr, j.Out), nil
-	}
-	return e.execCentralJoin(ctx, j)
-}
-
 // execCentralJoin collects both inputs at the coordinator and hash-joins
-// there — the no-parallelism baseline.
+// there — the no-parallelism baseline — then restores the pre-swap
+// column order, stamps the output schema and applies the residual.
 func (e *Engine) execCentralJoin(ctx *execCtx, j *plan.Join) (*value.Relation, error) {
 	l, err := e.exec(ctx, j.Left)
 	if err != nil {
@@ -359,12 +324,6 @@ func (e *Engine) execCentralJoin(ctx *execCtx, j *plan.Join) (*value.Relation, e
 	if err != nil {
 		return nil, err
 	}
-	return e.joinRelsCentral(ctx, j, l, r)
-}
-
-// joinRelsCentral hash-joins two materialized inputs at the
-// coordinator and finishes the output (swap restore, residual).
-func (e *Engine) joinRelsCentral(ctx *execCtx, j *plan.Join, l, r *value.Relation) (*value.Relation, error) {
 	out, st, err := algebra.HashJoin(l, r, j.LeftKeys, j.RightKeys)
 	if err != nil {
 		return nil, err
@@ -374,31 +333,24 @@ func (e *Engine) joinRelsCentral(ctx *execCtx, j *plan.Join, l, r *value.Relatio
 	}
 	cost := e.m.Cost()
 	e.m.PE(ctx.s.pe).Advance(cost.HashCost(st.Hashes) + cost.BuildCost(st.TuplesEmitted))
-	return e.finishJoinPart(j, out, ctx.s.pe)
-}
-
-// finishJoinPart finishes one join output (a partition or the whole
-// central result) on PE pe: restores the pre-swap column order, stamps
-// the output schema, and applies the residual predicate.
-func (e *Engine) finishJoinPart(j *plan.Join, out *value.Relation, pe int) (*value.Relation, error) {
 	if j.Swapped {
 		restoreSwapped(out.Tuples, j.Left.Schema().Len())
 	}
 	out.Schema = j.Out
-	if j.Residual != nil {
-		pred, err := expr.CompilePredicate(expr.Clone(j.Residual), j.Out)
-		if err != nil {
-			return nil, err
-		}
-		filtered, st, err := algebra.Select(out, pred)
-		if err != nil {
-			return nil, err
-		}
-		e.m.PE(pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, true))
-		filtered.Schema = j.Out
-		out = filtered
+	if j.Residual == nil {
+		return out, nil
 	}
-	return out, nil
+	pred, err := expr.CompilePredicate(expr.Clone(j.Residual), j.Out)
+	if err != nil {
+		return nil, err
+	}
+	filtered, st, err := algebra.Select(out, pred)
+	if err != nil {
+		return nil, err
+	}
+	e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, true))
+	filtered.Schema = j.Out
+	return filtered, nil
 }
 
 // restoreSwapped rotates each tuple left by lw in place, undoing the
@@ -419,17 +371,12 @@ func restoreSwapped(tuples []value.Tuple, lw int) {
 	}
 }
 
-// execAggregate runs two-phase distributed aggregation when the
-// optimizer marked pushdown: per-fragment partials inside the OFMs for
-// bare table scans, partial-per-partition on the dataflow path for any
-// other partitioned child (joins of joins included), with a coordinator
-// merge either way. Unmarked aggregates run at the coordinator.
+// execAggregate aggregates at the coordinator. A pushdown aggregate
+// over a bare table scan first lets every OFM pre-aggregate its own
+// fragment in its process, so only the partials travel.
 func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*value.Relation, error) {
-	if a.Pushdown {
-		if sc, ok := a.Child.(*plan.Scan); ok {
-			return e.execPushdownAggregate(ctx, a, sc)
-		}
-		return e.execPartAggregate(ctx, a)
+	if sc, ok := a.Child.(*plan.Scan); ok && a.Pushdown {
+		return e.execPushdownAggregate(ctx, a, sc)
 	}
 	rel, err := e.exec(ctx, a.Child)
 	if err != nil {

@@ -359,9 +359,9 @@ func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
 		} else {
 			planStr += "access: locked read (2PL shared)\n"
 		}
-		// The execution line states which executor the data-heavy part of
-		// the plan runs on. Vectorized plans fall back to row-at-a-time
-		// inside explicit transactions (the write overlay is row oriented).
+		// The execution line comes from the executor's own dispatch: a
+		// plan is vectorized when some node of it runs on the batch
+		// dataflow, in or out of an explicit transaction.
 		if s.e.planVectorized(root) {
 			planStr += "execution: vectorized (columnar batches)\n"
 		} else {

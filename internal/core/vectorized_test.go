@@ -36,7 +36,8 @@ var vectorizedScanQueries = []string{
 	`SELECT DISTINCT cat FROM dim2`,
 	`SELECT id, amt FROM fact WHERE amt > 90 ORDER BY id DESC LIMIT 10`,
 	`SELECT cat FROM dim2 WHERE cat LIKE 'g%'`,
-	`SELECT w FROM dim1 WHERE 3 < w`, // constant on the left of the comparison
+	`SELECT w FROM dim1 WHERE 3 < w`,              // constant on the left of the comparison
+	`SELECT COUNT(*) AS n FROM fact WHERE id = 7`, // pushdown aggregate over a primary-key probe
 }
 
 // TestVectorizedMatchesRow is the tentpole differential: every plan
@@ -81,39 +82,69 @@ func TestVectorizedMatchesRow(t *testing.T) {
 // TestVectorizedMatchesRowAfterWrites drives the column-cache
 // invalidation through SQL: committed updates/deletes/inserts must be
 // visible to the next vectorized scan, in-transaction reads must see
-// their own uncommitted writes (the batch path declines to the row
-// overlay), and both executors agree at every step.
+// their own uncommitted writes (ScanBatch answers those fragments from
+// the row overlay), and the executors — including a vectorized engine
+// under 2PL (MVCC=false) — agree at every step.
 func TestVectorizedMatchesRowAfterWrites(t *testing.T) {
 	eVec := newEngine(t)
 	eRow := rowEngine(t)
-	setupStar(t, eVec, eRow)
-	sVec, sRow := eVec.NewSession(), eRow.NewSession()
+	off := false
+	e2PL, err := New(Config{NumPEs: 16, MVCC: &off})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e2PL.Close)
+	setupStar(t, eVec, eRow, e2PL)
+	sVec, sRow, s2PL := eVec.NewSession(), eRow.NewSession(), e2PL.NewSession()
 
 	const q = `SELECT a, COUNT(*) AS n, SUM(amt) AS s FROM fact WHERE amt > 20 GROUP BY a`
-	check := func(step string) {
+	// The join reads a fragment the open transaction below has written.
+	const joinQ = `SELECT t.tag, COUNT(*) AS n, SUM(f.amt) AS s FROM fact f JOIN tiny t ON f.a = t.id GROUP BY t.tag`
+	agree := func(step, q string) {
 		t.Helper()
-		a, err := sVec.Query(q)
-		if err != nil {
-			t.Fatalf("%s vectorized: %v", step, err)
-		}
 		b, err := sRow.Query(q)
 		if err != nil {
 			t.Fatalf("%s row: %v", step, err)
 		}
-		if !a.SameBag(b) {
-			t.Errorf("%s: vectorized diverged (%d vs %d rows)", step, a.Len(), b.Len())
+		for _, sv := range []struct {
+			name string
+			s    *Session
+		}{{"vectorized", sVec}, {"vectorized 2PL", s2PL}} {
+			a, err := sv.s.Query(q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", step, sv.name, err)
+			}
+			if !a.SameBag(b) {
+				t.Errorf("%s: %s diverged (%d vs %d rows)", step, sv.name, a.Len(), b.Len())
+			}
 		}
 	}
-	check("before writes")
+	all := func(stmt string) {
+		t.Helper()
+		for _, s := range []*Session{sVec, sRow, s2PL} {
+			mustExec(t, s, stmt)
+		}
+	}
+	agree("before writes", q)
 	for _, stmt := range []string{
 		`UPDATE fact SET amt = amt + 100 WHERE amt < 10`,
 		`DELETE FROM fact WHERE id >= 4300`,
 		`INSERT INTO fact VALUES (9001, 1, 1, 55), (9002, 2, 2, 66)`,
 	} {
-		mustExec(t, sVec, stmt)
-		mustExec(t, sRow, stmt)
-		check(stmt)
+		all(stmt)
+		agree(stmt, q)
 	}
+
+	// A read through a join inside a transaction with pending writes on
+	// both join inputs sees those writes on every executor.
+	all(`BEGIN`)
+	all(`UPDATE fact SET amt = amt + 1000 WHERE a < 40`)
+	all(`INSERT INTO tiny VALUES (1000, 'pending'), (1001, 'pending')`)
+	all(`INSERT INTO fact VALUES (9100, 1000, 1, 5), (9101, 1001, 2, 6)`)
+	agree("in-txn join", joinQ)
+	agree("in-txn aggregate", q)
+	all(`ROLLBACK`)
+	agree("join after rollback", joinQ)
 
 	// Inside an explicit transaction, reads must see the session's own
 	// uncommitted writes; after rollback the committed image returns.
@@ -127,11 +158,12 @@ func TestVectorizedMatchesRowAfterWrites(t *testing.T) {
 		t.Errorf("in-txn read misses own writes: %v", in.Tuples)
 	}
 	mustExec(t, sVec, `ROLLBACK`)
-	check("after rollback")
+	agree("after rollback", q)
 }
 
-// TestExplainShowsVectorized pins the EXPLAIN contract: eligible scans
-// annotate as vectorized, a Vectorized=false engine reports
+// TestExplainShowsVectorized pins the EXPLAIN contract: partitioned
+// plans annotate as vectorized — broadcast joins and reads inside a
+// transaction included — a Vectorized=false engine reports
 // row-at-a-time, and the point-probe fast path (which the batch
 // executor deliberately leaves alone) stays row.
 func TestExplainShowsVectorized(t *testing.T) {
@@ -141,6 +173,17 @@ func TestExplainShowsVectorized(t *testing.T) {
 	if !strings.Contains(res.Plan, "execution: vectorized (columnar batches)") {
 		t.Errorf("eligible plan not annotated vectorized:\n%s", res.Plan)
 	}
+	res = mustExec(t, sVec, `EXPLAIN SELECT e.id, d.budget FROM emp e JOIN dept d ON e.dept = d.name`)
+	if !strings.Contains(res.Plan, "method=broadcast") || !strings.Contains(res.Plan, "execution: vectorized (columnar batches)") {
+		t.Errorf("broadcast join not annotated vectorized:\n%s", res.Plan)
+	}
+	mustExec(t, sVec, `BEGIN`)
+	mustExec(t, sVec, `INSERT INTO emp VALUES (100, 'eng', 5)`)
+	res = mustExec(t, sVec, `EXPLAIN SELECT COUNT(*) AS n FROM emp`)
+	if !strings.Contains(res.Plan, "execution: vectorized (columnar batches)") {
+		t.Errorf("in-transaction read not annotated vectorized:\n%s", res.Plan)
+	}
+	mustExec(t, sVec, `ROLLBACK`)
 	// The pk point probe is not a batch shape.
 	res = mustExec(t, sVec, `EXPLAIN SELECT * FROM emp WHERE id = 3`)
 	if !strings.Contains(res.Plan, "execution: row-at-a-time") {

@@ -58,24 +58,18 @@ func vecBytes(v *value.Vec) int64 {
 // the store has mutated since the last build. It returns the cache plus
 // the bytes newly allocated by a rebuild this call (0 on a hit), so the
 // executor can charge the statement's tenant budget for the build.
-// A nil cache means the fragment cannot be cached columnar (a column
-// holds mixed kinds) and the caller must use the row path.
-func (o *OFM) columnCache() (*colCache, int64) {
+func (o *OFM) columnCache() (*colCache, int64, error) {
 	o.ccMu.Lock()
 	defer o.ccMu.Unlock()
 	if o.cc != nil && o.cc.version == o.store.Version() {
-		return o.cc, 0
+		return o.cc, 0, nil
 	}
 	tuples, begin, end, ver := o.store.SnapshotVersions()
 	batch := value.NewBatchFrom(o.cfg.Schema, tuples)
 	if batch == nil {
-		// Heterogeneous column (possible only on transient fragments fed
-		// by untyped intermediates): disable the cache for this version.
-		if o.cc != nil {
-			o.cfg.PE.Free(o.cc.bytes)
-			o.cc = nil
-		}
-		return nil, 0
+		// Conform keeps every stored column to one kind, so this is a
+		// broken invariant, not a shape to route around.
+		return nil, 0, fmt.Errorf("ofm %s: fragment has a mixed-kind column", o.cfg.Name)
 	}
 	allCurrent := true
 	for i := range begin {
@@ -103,7 +97,7 @@ func (o *OFM) columnCache() (*colCache, int64) {
 	// The transposition reads every version once.
 	o.cfg.PE.Advance(o.costs().BuildCost(cc.rows))
 	o.cc = cc
-	return cc, cc.bytes
+	return cc, cc.bytes, nil
 }
 
 // compileVecFilter returns the cached vectorized filter for e, mirroring
@@ -129,32 +123,29 @@ func (o *OFM) compileVecFilter(e expr.Expr) (*expr.VecFilter, error) {
 
 // ScanBatch is the columnar counterpart of Scan: it evaluates an
 // optional predicate over the view and returns the matching rows as a
-// batch over the fragment column cache, with visibility expressed as a
-// selection vector — no tuples are materialized. built reports the bytes
-// a cache rebuild allocated during this call (0 on a hit).
+// batch. built reports the bytes a cache rebuild allocated during this
+// call (0 on a hit).
 //
-// A nil batch (with nil error) means the batch path declined and the
-// caller must fall back to the row Scan: the fragment is uncacheable,
-// the view's transaction has pending writes here (the overlay is row
-// oriented), the OFM runs interpreted (Compiled=false — the E4
-// baseline), or an equality predicate would be answered faster by the
-// hash-index probe path.
+// The common case reads the fragment column cache, with visibility
+// expressed as a selection vector — no tuples are materialized. The
+// cases the cache cannot answer are answered by the row Scan and
+// transposed: a view whose transaction has pending writes here (the
+// overlay is row oriented), an interpreted OFM (Compiled=false), and an
+// equality predicate the hash index answers with a probe.
 func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Batch, built int64, err error) {
-	if !o.cfg.Compiled {
-		return nil, 0, nil
-	}
-	del, ins := o.overlay(view)
-	if len(del) > 0 || len(ins) > 0 {
-		return nil, 0, nil
-	}
-	if pred != nil {
-		if hash, _, _ := o.eqIndexProbe(pred); hash != nil {
-			return nil, 0, nil // point probe beats any scan, vectorized or not
+	if o.rowSourced(view, pred) {
+		rel, err := o.Scan(view, pred, cols)
+		if err != nil {
+			return nil, 0, err
 		}
+		if batch = value.NewBatchFrom(rel.Schema, rel.Tuples); batch == nil {
+			return nil, 0, fmt.Errorf("ofm %s: scan result has a mixed-kind column", o.cfg.Name)
+		}
+		return batch, 0, nil
 	}
-	cc, built := o.columnCache()
-	if cc == nil {
-		return nil, 0, nil
+	cc, built, err := o.columnCache()
+	if err != nil {
+		return nil, 0, err
 	}
 	cost := o.costs()
 
@@ -195,4 +186,20 @@ func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Bat
 		o.cfg.PE.Advance(cost.BuildCost(batch.Len()))
 	}
 	return batch, built, nil
+}
+
+// rowSourced reports whether ScanBatch must answer from the row Scan.
+func (o *OFM) rowSourced(view View, pred expr.Expr) bool {
+	if !o.cfg.Compiled {
+		return true
+	}
+	if del, ins := o.overlay(view); len(del) > 0 || len(ins) > 0 {
+		return true
+	}
+	if pred != nil {
+		if hash, _, _ := o.eqIndexProbe(pred); hash != nil {
+			return true // a point probe beats any scan
+		}
+	}
+	return false
 }

@@ -52,9 +52,6 @@ func scanBatchLen(t *testing.T, o *OFM, view View) int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b == nil {
-		t.Fatal("ScanBatch declined unexpectedly")
-	}
 	return b.Len()
 }
 
@@ -193,31 +190,49 @@ func TestColumnCacheVacuumDropsDeadVersions(t *testing.T) {
 	}
 }
 
-// TestScanBatchDeclines pins every condition under which the batch path
-// must hand the scan back to the row executor.
-func TestScanBatchDeclines(t *testing.T) {
+// TestScanBatchAnswersFromRows pins the cases the column cache cannot
+// answer: ScanBatch serves them from the row Scan, transposed, and never
+// hands the scan back to its caller.
+func TestScanBatchAnswersFromRows(t *testing.T) {
+	same := func(name string, o *OFM, view View, pred expr.Expr) {
+		t.Helper()
+		want, err := o.Scan(view, pred, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := o.ScanBatch(view, pred, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := b.Materialize(); !got.SameBag(want) {
+			t.Errorf("%s: batch %d rows vs row %d rows", name, got.Len(), want.Len())
+		}
+	}
+
 	// Interpreted OFM (the E4 baseline): no compiled kernels.
 	oi, _, _ := newOFM(t, false)
 	load(t, oi, 10)
-	if b, _, err := oi.ScanBatch(Latest, nil, nil); err != nil || b != nil {
-		t.Errorf("interpreted ScanBatch = %v, %v; want decline", b, err)
-	}
+	same("interpreted", oi, Latest, expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(40))))
 
 	var horizon atomic.Uint64
 	o, mgr := newMVCCOFM(t, &horizon)
 	load(t, o, 50)
 
-	// A transaction with pending writes here must see its own overlay:
-	// the batch path declines for that transaction's view only.
+	// A transaction with pending writes here must see its own overlay.
 	tx := mgr.Begin()
 	if err := o.InsertTx(tx.ID(), emp(100, "new", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if b, _, err := o.ScanBatch(View{TS: LatestTS, Tx: tx.ID()}, nil, nil); err != nil || b != nil {
-		t.Errorf("overlay ScanBatch = %v, %v; want decline", b, err)
+	if _, err := o.DeleteTx(tx.ID(), expr.NewCmp(expr.LT, expr.NewCol("id"), expr.NewConst(value.NewInt(5))), Latest); err != nil {
+		t.Fatal(err)
 	}
-	if b, _, err := o.ScanBatch(Latest, nil, nil); err != nil || b == nil {
-		t.Errorf("clean-view ScanBatch declined: %v, %v", b, err)
+	overlay := View{TS: LatestTS, Tx: tx.ID()}
+	if n := scanBatchLen(t, o, overlay); n != 46 {
+		t.Errorf("overlay ScanBatch = %d rows, want 46", n)
+	}
+	same("overlay", o, overlay, nil)
+	if n := scanBatchLen(t, o, Latest); n != 50 {
+		t.Errorf("clean-view ScanBatch = %d rows, want 50", n)
 	}
 	tx.Abort()
 
@@ -226,8 +241,13 @@ func TestScanBatchDeclines(t *testing.T) {
 		t.Fatal(err)
 	}
 	point := expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(42)))
-	if b, _, err := o.ScanBatch(Latest, point, nil); err != nil || b != nil {
-		t.Errorf("point-probe ScanBatch = %v, %v; want decline", b, err)
+	same("point probe", o, Latest, point)
+	b, _, err := o.ScanBatch(Latest, point, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 1 || len(b.Cols) != 1 || b.Value(0, 0).Int() != 420 {
+		t.Errorf("projected point probe = %v", b.Materialize().Tuples)
 	}
 }
 
@@ -278,9 +298,6 @@ func TestScanBatchMatchesScan(t *testing.T) {
 				b, _, err := o.ScanBatch(v, pc, cols)
 				if err != nil {
 					t.Fatal(err)
-				}
-				if b == nil {
-					t.Fatalf("pred %d view %d cols %v: batch path declined", pi, vi, cols)
 				}
 				got := b.Materialize()
 				if !got.SameBag(want) {

@@ -16,7 +16,7 @@
 // interpretation overhead incurred by a query expression interpreter";
 // compiled predicates are cached per expression text. The Compiled
 // config flag switches the scan path between the compiler and the
-// interpreter so experiment E4 can measure exactly this design choice.
+// interpreter; engine OFMs always compile.
 package ofm
 
 import (
@@ -65,8 +65,8 @@ type Config struct {
 	Kind Kind
 	// Log is the write-ahead log; required for Persistent OFMs.
 	Log *wal.Log
-	// Compiled selects the compiled scan path (default true). Set false
-	// to force the interpreter (experiment E4's baseline).
+	// Compiled selects the compiled scan path; false forces the
+	// interpreter.
 	Compiled bool
 	// Horizon, when set, returns the multiversion garbage-collection
 	// horizon (the oldest snapshot any reader may still hold). Commits
@@ -264,7 +264,7 @@ func (o *OFM) Scan(view View, pred expr.Expr, cols []int) (*value.Relation, erro
 	// Index probe path.
 	if pred != nil && len(ins) == 0 {
 		if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
-			ids := hash.Lookup([]value.Value{key})
+			ids := o.store.HashLookup(hash, []value.Value{key})
 			o.cfg.PE.Advance(cost.HashCost(1))
 			rel := value.NewRelation(o.cfg.Schema)
 			for _, id := range ids {
@@ -318,7 +318,7 @@ func (o *OFM) ProbeEq(view View, col int, key value.Value, rest expr.Expr) (*val
 		return o.Scan(view, expr.Conjoin([]expr.Expr{eq, rest}), nil)
 	}
 	cost := o.costs()
-	ids := hash.Lookup([]value.Value{key})
+	ids := o.store.HashLookup(hash, []value.Value{key})
 	o.cfg.PE.Advance(cost.HashCost(1))
 	rel := value.NewRelation(o.cfg.Schema)
 	if len(ids) > 0 {

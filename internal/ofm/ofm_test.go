@@ -588,3 +588,60 @@ func TestLoadTypeErrors(t *testing.T) {
 		t.Errorf("bad load error = %v", err)
 	}
 }
+
+// TestProbeEqConcurrentCommit races point probes against committing
+// inserts on one fragment. Commit adds to the hash index under the
+// store lock, so the probe must read the index under that lock too;
+// under -race an unguarded lookup fails here.
+func TestProbeEqConcurrentCommit(t *testing.T) {
+	o, _, mgr := newOFM(t, true)
+	load(t, o, 20)
+	if _, err := o.Store().CreateHashIndex("by_id", []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	const inserts = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < inserts; i++ {
+			tx := mgr.Begin()
+			if err := o.InsertTx(tx.ID(), emp(int64(1000+i), "eng", 1)); err != nil {
+				done <- err
+				return
+			}
+			if err := o.Prepare(tx.ID()); err != nil {
+				done <- err
+				return
+			}
+			if err := o.Commit(tx.ID(), uint64(i+1)); err != nil {
+				done <- err
+				return
+			}
+			tx.Abort() // local bookkeeping; the OFM already committed
+		}
+		done <- nil
+	}()
+	for probing := true; probing; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			probing = false
+		default:
+			rel, err := o.ProbeEq(Latest, 0, value.NewInt(7), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel.Len() != 1 {
+				t.Fatalf("probe for a loaded key found %d rows", rel.Len())
+			}
+		}
+	}
+	rel, err := o.ProbeEq(Latest, 0, value.NewInt(1000+inserts-1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Len() != 1 {
+		t.Fatalf("probe for the last committed key found %d rows", rel.Len())
+	}
+}

@@ -285,7 +285,7 @@ func (o *OFM) matchRowIDs(view View, pred expr.Expr) ([]storage.RowID, error) {
 		return ids, nil
 	}
 	if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
-		probed := hash.Lookup([]value.Value{key})
+		probed := o.store.HashLookup(hash, []value.Value{key})
 		o.cfg.PE.Advance(o.costs().HashCost(1))
 		var match func(value.Tuple) (bool, error)
 		if rest != nil {

@@ -3,11 +3,9 @@ package storage
 import "repro/internal/value"
 
 // HashIndex maps a key (one or more columns) to the row ids holding it.
-// It is maintained by the owning Store under the store's lock; the
-// exported lookup methods take the store lock via the Store facade, so
-// direct use is read-only and safe only alongside external
-// synchronization (the OFM serializes writes through its transaction
-// layer).
+// It is maintained by the owning Store under the store's lock. Its own
+// lookup methods take no lock; readers that can run beside writers go
+// through Store.HashLookup, which holds the store's read lock.
 type HashIndex struct {
 	cols    []int
 	buckets map[string][]RowID

@@ -559,6 +559,15 @@ func (s *Store) HashIndexOn(cols []int) (*HashIndex, bool) {
 	return nil, false
 }
 
+// HashLookup returns the row ids whose columns indexed by ix equal key,
+// read under the store's read lock: commits add to the same index map
+// under the write lock, so an unguarded lookup races with them.
+func (s *Store) HashLookup(ix *HashIndex, key []value.Value) []RowID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return ix.Lookup(key)
+}
+
 // OrderedIndexOn returns an ordered index whose leading column is col.
 func (s *Store) OrderedIndexOn(col int) (*OrderedIndex, bool) {
 	s.mu.RLock()

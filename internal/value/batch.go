@@ -274,8 +274,8 @@ func (b *Batch) Size() int {
 // NewBatchFrom builds a columnar batch from row-oriented tuples. Every
 // column must be uniform: each value NULL or of one consistent kind
 // (the storage layer's Conform guarantees this for stored relations).
-// Returns nil when a column is heterogeneous or a tuple is short — the
-// caller falls back to the row path.
+// Returns nil when a column is heterogeneous or a tuple is short; the
+// caller reports that as an error.
 func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 	w := schema.Len()
 	n := len(tuples)

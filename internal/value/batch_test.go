@@ -44,7 +44,7 @@ func TestColumnarBatchRoundTrip(t *testing.T) {
 }
 
 // TestNewBatchFromDeclines: heterogeneous columns and short tuples make
-// the transposition refuse (callers fall back to the row path).
+// the transposition refuse (callers report an error).
 func TestNewBatchFromDeclines(t *testing.T) {
 	s := MustSchema("x", "INT")
 	if b := NewBatchFrom(s, []Tuple{Ints(1), {NewString("oops")}}); b != nil {

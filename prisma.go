@@ -92,9 +92,6 @@ type Config struct {
 	// NumPEs is the number of processing elements (default 64, the
 	// paper's prototype size).
 	NumPEs int
-	// Interpreted forces interpreted expression evaluation in the OFMs
-	// instead of the paper's compiled routines (experiment E4 baseline).
-	Interpreted bool
 	// Optimizer overrides the rule groups (nil = all rules).
 	Optimizer *OptimizerOptions
 	// NaiveDatalog forces naive fixpoint iteration for PRISMAlog
@@ -108,9 +105,10 @@ type Config struct {
 	// plus first-committer-wins; false = the all-2PL baseline where
 	// reads take shared locks — experiment E16's comparison mode).
 	MVCC *bool
-	// Vectorized controls columnar batch execution (nil/true = eligible
-	// read plans run over fragment column caches with selection vectors;
-	// false forces tuple-at-a-time execution — experiment E20's baseline).
+	// Vectorized controls columnar batch execution (nil/true = every
+	// partitioned plan runs on the batch dataflow over fragment column
+	// caches; false runs the whole plan on the central row executor —
+	// experiment E20's baseline).
 	Vectorized *bool
 }
 
@@ -121,11 +119,9 @@ type DB struct {
 
 // Open builds a database machine.
 func Open(cfg Config) (*DB, error) {
-	compiled := !cfg.Interpreted
 	semiNaive := !cfg.NaiveDatalog
 	ccfg := core.Config{
 		NumPEs:     cfg.NumPEs,
-		Compiled:   &compiled,
 		Optimizer:  cfg.Optimizer,
 		SemiNaive:  &semiNaive,
 		MVCC:       cfg.MVCC,

@@ -109,28 +109,6 @@ func TestCrashRecoveryPublicAPI(t *testing.T) {
 	}
 }
 
-func TestInterpretedConfig(t *testing.T) {
-	db, err := Open(Config{NumPEs: 16, Interpreted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	s := db.Session()
-	if _, err := s.Exec(`CREATE TABLE t (x INT)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Exec(`INSERT INTO t VALUES (1), (2), (3)`); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := s.Query(`SELECT x FROM t WHERE x > 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 2 {
-		t.Errorf("interpreted scan = %d rows", rel.Len())
-	}
-}
-
 func TestOptimizerConfig(t *testing.T) {
 	opts := OptimizerOptions{} // no rules
 	db, err := Open(Config{NumPEs: 16, Optimizer: &opts})
