@@ -377,12 +377,14 @@ func (e *Engine) execVecExchange(ctx *execCtx, x *plan.Exchange) (*vecParts, err
 			if bn == 0 {
 				continue
 			}
+			h := value.GetHashes(bn)
+			b.HashRows(x.Part.Keys, b.Sel, h)
 			sels := make([][]int32, n)
-			for li := 0; li < bn; li++ {
-				row := b.Row(li)
-				bkt := int(b.HashRow(row, x.Part.Keys) % uint64(n))
-				sels[bkt] = append(sels[bkt], int32(row))
+			for li, hv := range h {
+				bkt := hv % uint64(n)
+				sels[bkt] = append(sels[bkt], int32(b.Row(li)))
 			}
+			value.PutHashes(h)
 			e.m.PE(pe).Advance(e.m.Cost().HashCost(bn))
 			buckets := make([]*value.Batch, n)
 			dep := make([]int64, n)

@@ -31,7 +31,8 @@ type colCache struct {
 	// begin == 0 and end == 0 (bulk-loaded data, never mutated), so any
 	// snapshot sees all rows and scans run dense with Sel == nil.
 	allCurrent bool
-	bytes      int64 // accounted against the PE budget
+	bytes      int64 // footprint, charged to the statement's tenant budget
+	charged    int64 // bytes charged to the PE: bytes, or 0 when the PE was full
 }
 
 // vecBytes approximates a column vector's footprint.
@@ -91,9 +92,14 @@ func (o *OFM) columnCache() (*colCache, int64, error) {
 	}
 	cc.bytes += int64(len(begin)+len(end)) * 8
 	if o.cc != nil {
-		o.cfg.PE.Free(o.cc.bytes)
+		o.cfg.PE.Free(o.cc.charged)
 	}
-	_ = o.cfg.PE.Alloc(cc.bytes)
+	// A cache that does not fit the PE's memory still serves scans, but
+	// it is left uncharged, so the next rebuild frees only what was
+	// charged.
+	if o.cfg.PE.Alloc(cc.bytes) == nil {
+		cc.charged = cc.bytes
+	}
 	// The transposition reads every version once.
 	o.cfg.PE.Advance(o.costs().BuildCost(cc.rows))
 	o.cc = cc

@@ -308,3 +308,61 @@ func TestScanBatchMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnCacheChargesPEMemory pins the cache's PE memory accounting
+// across rebuilds: a generation is charged to the PE only when it fits,
+// and a rebuild frees exactly what the old generation charged, so the
+// PE's MemUsed is always the store's bytes plus the current charge —
+// whether the cache fits (generous memory) or not (tight memory).
+func TestColumnCacheChargesPEMemory(t *testing.T) {
+	build := func(memory int64) (*OFM, *machine.PE, *txn.Manager) {
+		m, err := machine.New(machine.Config{NumPEs: 2, MemoryPerPE: memory})
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := New(Config{Name: "cc#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient, Compiled: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		load(t, o, 200)
+		return o, m.PE(0), txn.NewManager()
+	}
+	// Measure the store and one cache generation with room to spare.
+	o, _, _ := build(1 << 30)
+	if _, _, err := o.ScanBatch(Latest, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	storeBytes, cacheBytes := o.store.MemSize(), o.cc.bytes
+
+	for _, c := range []struct {
+		name    string
+		memory  int64
+		charged bool
+	}{
+		{"fits", 1 << 30, true},
+		{"tight", storeBytes + cacheBytes/2, false},
+	} {
+		o, pe, mgr := build(c.memory)
+		for i := 0; i < 5; i++ {
+			if _, _, err := o.ScanBatch(Latest, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := o.cc.charged > 0; got != c.charged {
+				t.Fatalf("%s rebuild %d: charged %d of %d bytes", c.name, i, o.cc.charged, o.cc.bytes)
+			}
+			if want := o.store.MemSize() + o.cc.charged; pe.MemUsed() != want {
+				t.Fatalf("%s rebuild %d: PE MemUsed %d, want store %d + cache charge %d",
+					c.name, i, pe.MemUsed(), o.store.MemSize(), o.cc.charged)
+			}
+			// A committed insert makes the next scan rebuild the cache.
+			tx := mgr.Begin()
+			tx.Enlist(o)
+			if err := o.InsertTx(tx.ID(), emp(int64(1000+i), "new", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

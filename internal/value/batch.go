@@ -146,27 +146,6 @@ func (b *Batch) Materialize() *Relation {
 	return out
 }
 
-// AppendKey appends the canonical comparison key of the given columns of
-// physical row `row` to buf, byte-compatible with Tuple.AppendKeyOn.
-func (b *Batch) AppendKey(buf []byte, row int, idxs []int) []byte {
-	for _, ix := range idxs {
-		buf = AppendValue(buf, b.Cols[ix].Value(row))
-	}
-	return buf
-}
-
-// HashRow hashes the given columns of physical row `row`, producing the
-// same value as HashTuple over the materialized tuple — the invariant
-// that keeps a columnar hash exchange bucket-aligned with the row one.
-func (b *Batch) HashRow(row int, idxs []int) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, ix := range idxs {
-		h = (h ^ Hash64(b.Cols[ix].Value(row))) * prime64
-	}
-	return h
-}
-
 // ConcatBatches concatenates the selected rows of the given batches (in
 // order) into one dense batch. Inputs are consumed: their selection
 // vectors return to the pool.

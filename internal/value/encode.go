@@ -133,50 +133,6 @@ func DecodeTuples(buf []byte) ([]Tuple, error) {
 	return ts, nil
 }
 
-// Hash64 returns a 64-bit FNV-1a hash of v's canonical encoding. Numeric
-// cross-kind equality is respected: an int and a float that compare equal
-// hash identically.
-func Hash64(v Value) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	k := v.kind
-	num := v.num
-	// Canonicalize: a float with integral value hashes as the int.
-	if k == KindFloat {
-		f := math.Float64frombits(num)
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			k = KindInt
-			num = uint64(int64(f))
-		}
-	}
-	mix(byte(k))
-	switch k {
-	case KindBool, KindInt, KindFloat:
-		for i := 0; i < 8; i++ {
-			mix(byte(num >> (8 * i)))
-		}
-	case KindString:
-		for i := 0; i < len(v.str); i++ {
-			mix(v.str[i])
-		}
-	}
-	return h
-}
-
-// HashTuple hashes the given columns of t, for partitioning and hash joins.
-func HashTuple(t Tuple, idxs []int) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, ix := range idxs {
-		h = (h ^ Hash64(t[ix])) * prime64
-	}
-	return h
-}
-
 // ---------- schema / relation wire encoding ----------
 
 // AppendSchema appends the binary encoding of s to buf: a uint16 column
