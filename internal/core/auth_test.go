@@ -186,3 +186,22 @@ func TestMemBudgetAbortsBigStatements(t *testing.T) {
 		t.Fatalf("sort under a sane budget: %v", err)
 	}
 }
+
+// TestMemBudgetStreamedCursors: a cursor whose root materializes (here a
+// sort) is held to the same budget as Query; a plain streamed scan
+// delivers per-fragment chunks, materializes nothing, and still streams.
+func TestMemBudgetStreamedCursors(t *testing.T) {
+	e := newEngine(t)
+	s := setupEmp(t, e)
+	s.SetMemBudget(128)
+	if _, _, err := s.Stream(`SELECT id, dept, salary FROM emp ORDER BY salary`); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("streamed oversized sort err = %v, want ErrMemBudget", err)
+	}
+	cur, _, err := s.Stream(`SELECT id, dept, salary FROM emp`)
+	if err != nil {
+		t.Fatalf("streamed scan under budget: %v", err)
+	}
+	if got := collect(t, cur); got.Len() != 60 {
+		t.Fatalf("streamed scan delivered %d rows, want 60", got.Len())
+	}
+}

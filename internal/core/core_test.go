@@ -11,7 +11,7 @@ import (
 
 // newEngine builds a 16-PE engine (4x4 torus is not square-free: 16 PEs
 // gets the 4x4 torus) for tests.
-func newEngine(t *testing.T) *Engine {
+func newEngine(t testing.TB) *Engine {
 	t.Helper()
 	e, err := New(Config{NumPEs: 16})
 	if err != nil {
@@ -21,7 +21,7 @@ func newEngine(t *testing.T) *Engine {
 	return e
 }
 
-func mustExec(t *testing.T, s *Session, sql string) *Result {
+func mustExec(t testing.TB, s *Session, sql string) *Result {
 	t.Helper()
 	res, err := s.Exec(sql)
 	if err != nil {

@@ -273,6 +273,9 @@ func (s *Session) streamPlanStr(root plan.Node, planStr string) (*Cursor, error)
 		return nil, err
 	}
 	ctx := &execCtx{s: s, tx: tx, view: view, shared: map[string]*value.Relation{}}
+	if s.memBudget > 0 {
+		ctx.mem = &memAcct{limit: s.memBudget}
+	}
 	iter, err := s.e.execStream(ctx, root)
 	if err != nil {
 		return nil, settle(err)
@@ -350,6 +353,11 @@ func (e *Engine) execStream(ctx *execCtx, n plan.Node) (*relIter, error) {
 	}
 	rel, err := e.exec(ctx, n)
 	if err != nil {
+		return nil, err
+	}
+	// The fallback materialized n whole: a budget breach anywhere in it
+	// aborts the stream, as it aborts execPlan.
+	if err := ctx.mem.breach(); err != nil {
 		return nil, err
 	}
 	return singleBatchIter(rel), nil

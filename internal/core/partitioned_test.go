@@ -14,7 +14,7 @@ import (
 // repartition joins (every input estimate clears the 2000-row
 // threshold), plus a small single-fragment table that it broadcasts,
 // and loads identical data into the given engines.
-func setupStar(t *testing.T, engines ...*Engine) {
+func setupStar(t testing.TB, engines ...*Engine) {
 	t.Helper()
 	ddl := []string{
 		`CREATE TABLE fact (id INT, a INT, b INT, amt INT, PRIMARY KEY (id))
@@ -108,6 +108,16 @@ var partitionedPlanQueries = []string{
 	`SELECT f.id, t.tag FROM fact f JOIN tiny t ON f.a = t.id WHERE f.amt > 50`,
 	// 13: grouped aggregation over a broadcast join.
 	`SELECT t.tag, COUNT(*) AS n, SUM(f.amt) AS s FROM fact f JOIN tiny t ON f.b = t.id GROUP BY t.tag`,
+	// 14: ORDER BY a column the select list drops, over a join: the sort
+	// key must survive the exchange's column pruning.
+	`SELECT d1.w, f.amt FROM fact f JOIN dim1 d1 ON f.a = d1.id ORDER BY f.id DESC`,
+	// 15: 3-way join whose middle join key is not selected.
+	`SELECT f.amt, d2.cat FROM fact f
+		JOIN dim1 d1 ON f.a = d1.id JOIN dim2 d2 ON f.b = d2.id`,
+	// 16: broadcast join that reads only the key column of tiny.
+	`SELECT f.id, f.amt FROM fact f JOIN tiny t ON f.a = t.id`,
+	// 17: SELECT * over a join: every column is read, nothing is pruned.
+	`SELECT * FROM fact f JOIN dim1 d1 ON f.a = d1.id`,
 }
 
 // TestPartitionedMatchesCentral runs the differential suite on the
@@ -177,6 +187,103 @@ func TestExplainShowsPartitionedPlan(t *testing.T) {
 	}
 	if strings.Contains(planStr, "method=central") {
 		t.Errorf("plan still contains a central join:\n%s", planStr)
+	}
+}
+
+// TestExplainShowsPrunedExchanges: exchanges ship only the columns the
+// plan reads above them. The repartition, 3-way and broadcast shapes of
+// the corpus narrow an exchange input with a Project of named columns;
+// SELECT * keeps every column, so nothing is inserted.
+func TestExplainShowsPrunedExchanges(t *testing.T) {
+	e := newEngine(t)
+	setupStar(t, e)
+	s := e.NewSession()
+	for _, tc := range []struct {
+		q    string
+		want []string
+	}{
+		{partitionedPlanQueries[13], []string{"Project(f.id, f.a, f.amt)"}},
+		// The inner join's output drops its key (f.a) before the outer
+		// exchange.
+		{partitionedPlanQueries[14], []string{"Project(f.a, f.b, f.amt)", "Project(d1.id)", "Project(f.b, f.amt)"}},
+		{partitionedPlanQueries[15], []string{"Exchange(broadcast)", "Project(t.id)"}},
+		{partitionedPlanQueries[16], nil},
+	} {
+		res := mustExec(t, s, "EXPLAIN "+tc.q)
+		if tc.want == nil && strings.Count(res.Plan, "Project(") > 0 {
+			t.Errorf("SELECT * plan narrows an exchange:\n%s", res.Plan)
+		}
+		if !strings.Contains(res.Plan, "Exchange(") {
+			t.Errorf("plan has no exchange:\n%s", res.Plan)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(res.Plan, w) {
+				t.Errorf("plan lacks %q:\n%s", w, res.Plan)
+			}
+		}
+	}
+}
+
+// TestPrunedPreparedJoin executes one prepared broadcast join — its
+// exchange input narrowed to the join key, with the parameter in the
+// pruned side's filter — under two different bindings, and checks each
+// against the central engine.
+func TestPrunedPreparedJoin(t *testing.T) {
+	ePar := newEngine(t)
+	eCen := centralEngine(t)
+	setupStar(t, ePar, eCen)
+	sPar, sCen := ePar.NewSession(), eCen.NewSession()
+	const q = `SELECT f.id, f.amt FROM fact f JOIN tiny t ON f.a = t.id WHERE t.tag = ?`
+	ps, err := sPar.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tag := range []string{"t1", "t3"} {
+		args := []value.Value{value.NewString(tag)}
+		res, err := sPar.ExecPrepared(ps, args)
+		if err != nil {
+			t.Fatalf("tag %s: %v", tag, err)
+		}
+		if !strings.Contains(res.Plan, "Project(t.id)") {
+			t.Errorf("prepared plan does not narrow the broadcast side:\n%s", res.Plan)
+		}
+		want, err := sCen.Query(strings.Replace(q, "?", "'"+tag+"'", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 || !res.Rel.SameBag(want) {
+			t.Errorf("tag %s: prepared join %d rows, central %d", tag, res.Rel.Len(), want.Len())
+		}
+	}
+}
+
+// TestPrunedStreamJoin: a streamed pruned join delivers exactly the
+// rows Query materializes.
+func TestPrunedStreamJoin(t *testing.T) {
+	e := newEngine(t)
+	setupStar(t, e)
+	s := e.NewSession()
+	for _, q := range []string{partitionedPlanQueries[0], partitionedPlanQueries[13]} {
+		want, err := s.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, _, err := s.Stream(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collect(t, cur)
+		if got.Len() != want.Len() || !got.SameBag(want) {
+			t.Errorf("%s: streamed %d rows, queried %d", q, got.Len(), want.Len())
+		}
+		if strings.Contains(q, "ORDER BY") {
+			for r := range want.Tuples {
+				if !value.EqualTuples(got.Tuples[r], want.Tuples[r]) {
+					t.Errorf("%s: row %d streamed %v, queried %v", q, r, got.Tuples[r], want.Tuples[r])
+					break
+				}
+			}
+		}
 	}
 }
 

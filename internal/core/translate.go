@@ -142,6 +142,8 @@ func (e *Engine) translateSelect(sel *sqlparse.Select) (plan.Node, error) {
 			hasAgg = true
 		}
 	}
+	// proj is the select-list projection of a non-aggregate query.
+	var proj *plan.Project
 	if hasAgg {
 		node, err := e.translateAggregate(sel, cur)
 		if err != nil {
@@ -153,6 +155,7 @@ func (e *Engine) translateSelect(sel *sqlparse.Select) (plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
+		proj, _ = node.(*plan.Project)
 		cur = node
 	}
 
@@ -160,22 +163,39 @@ func (e *Engine) translateSelect(sel *sqlparse.Select) (plan.Node, error) {
 		cur = &plan.Distinct{Child: cur}
 	}
 	if len(sel.OrderBy) > 0 {
-		var cols []int
-		var desc []bool
-		for _, ob := range sel.OrderBy {
-			ix := cur.Schema().Index(ob.Col)
-			if ix < 0 {
-				return nil, fmt.Errorf("core: ORDER BY column %q not in output %s", ob.Col, cur.Schema())
+		sorted, err := orderBy(sel, cur)
+		if err != nil && proj != nil && !sel.Distinct {
+			// ORDER BY a column the select list drops: sort the
+			// projection's input instead, and project the sorted rows.
+			var below plan.Node
+			if below, err = orderBy(sel, proj.Child); err == nil {
+				proj.Child, sorted = below, cur
 			}
-			cols = append(cols, ix)
-			desc = append(desc, ob.Desc)
 		}
-		cur = &plan.Sort{Child: cur, Cols: cols, Desc: desc}
+		if err != nil {
+			return nil, err
+		}
+		cur = sorted
 	}
 	if sel.Limit >= 0 {
 		cur = &plan.Limit{Child: cur, N: sel.Limit}
 	}
 	return cur, nil
+}
+
+// orderBy sorts n by the ORDER BY columns, resolved in n's output.
+func orderBy(sel *sqlparse.Select, n plan.Node) (plan.Node, error) {
+	var cols []int
+	var desc []bool
+	for _, ob := range sel.OrderBy {
+		ix := n.Schema().Index(ob.Col)
+		if ix < 0 {
+			return nil, fmt.Errorf("core: ORDER BY column %q not in output %s", ob.Col, n.Schema())
+		}
+		cols = append(cols, ix)
+		desc = append(desc, ob.Desc)
+	}
+	return &plan.Sort{Child: n, Cols: cols, Desc: desc}, nil
 }
 
 // translateProjection handles the non-aggregate select list.

@@ -7,13 +7,24 @@
 // The knowledge base is literally a list of rewrite rules applied to the
 // logical plan until fixpoint. Rule groups can be toggled independently,
 // which is what the E9 ablation experiment sweeps.
+//
+// The Parallel group plans partitioned dataflow for the whole tree
+// (Exchange nodes, distributed join methods, partial aggregation,
+// parallel sort and distinct) and, as the last rule of all, prunes
+// columns at the exchanges: every Exchange input is narrowed to the
+// columns its consumers read plus its hash keys, by a column-remap
+// Project directly under the exchange, and every bound index above is
+// remapped. Repartitions, broadcasts and gathers then copy and ship
+// only those columns. Plans without an exchange are left as they are.
 package optimizer
 
 import (
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/fragment"
 	"repro/internal/plan"
+	"repro/internal/value"
 )
 
 // Options enables rule groups of the knowledge base.
@@ -56,8 +67,10 @@ func New(cat *catalog.Catalog, opts Options) *Optimizer {
 // Options returns the enabled rule groups.
 func (o *Optimizer) Options() Options { return o.opts }
 
-// Optimize rewrites the plan: estimation, pushdown, join ordering, CSE
-// and parallelization, in that order.
+// Optimize rewrites the plan: estimation, pushdown, join ordering, CSE,
+// parallelization and point probes, in that order; column pruning at
+// the exchanges (part of the parallelism group) runs last, once the
+// Exchange nodes and the final plan shape exist.
 func (o *Optimizer) Optimize(root plan.Node) plan.Node {
 	root = o.estimate(root)
 	if o.opts.Pushdown {
@@ -76,6 +89,9 @@ func (o *Optimizer) Optimize(root plan.Node) plan.Node {
 	}
 	if o.opts.PointProbe {
 		root = o.probeRewrite(root)
+	}
+	if o.opts.Parallel {
+		root, _ = pruneColumns(root, allCols(root.Schema().Len()))
 	}
 	return root
 }
@@ -588,6 +604,251 @@ func mapThroughJoin(keys []int, j *plan.Join, treeLeft bool) []int {
 		out[i] = k + offset
 	}
 	return out
+}
+
+// ---------- rule group: parallelism — column pruning at exchanges ----------
+
+// colMap maps a node's old output positions to its pruned ones (-1 =
+// dropped). nil is the identity: the subtree kept its width.
+type colMap []int
+
+func (m colMap) at(i int) int {
+	if m == nil {
+		return i
+	}
+	return m[i]
+}
+
+// keys returns a remapped copy of a key list.
+func (m colMap) keys(ks []int) []int {
+	out := make([]int, len(ks))
+	for i, k := range ks {
+		out[i] = m.at(k)
+	}
+	return out
+}
+
+// expr returns a remapped clone of a bound expression.
+func (m colMap) expr(e expr.Expr) expr.Expr {
+	if e == nil {
+		return nil
+	}
+	c := expr.Clone(e)
+	expr.MapCols(c, m.at)
+	return c
+}
+
+func allCols(n int) []bool {
+	need := make([]bool, n)
+	for i := range need {
+		need[i] = true
+	}
+	return need
+}
+
+// markExpr adds the columns an expression reads to a need set.
+func markExpr(need []bool, e expr.Expr) {
+	if e == nil {
+		return
+	}
+	for _, c := range expr.Columns(e) {
+		need[c] = true
+	}
+}
+
+// pruneColumns narrows every Exchange input to the columns its consumers
+// read, so hash repartitions, broadcasts and gathers copy, ship and
+// hash-join only those. It walks top-down with need, the set of n's
+// output columns the parent reads, and returns the rewritten node plus
+// the map from n's old output positions to the new ones; every bound
+// index above a narrowed subtree is remapped on clones. The only node it
+// inserts is a pure column-remap Project directly under an Exchange:
+// Scan and IndexProbe leaves keep their width, so the Join→Scan and
+// pushdown Aggregate→Scan shapes the distributed dispatch relies on stay
+// intact, and a plan without exchanges comes back unchanged.
+func pruneColumns(n plan.Node, need []bool) (plan.Node, colMap) {
+	switch t := n.(type) {
+	case *plan.Exchange:
+		cn := append([]bool(nil), need...)
+		for _, k := range t.Part.Keys {
+			cn[k] = true
+		}
+		child, m := pruneColumns(t.Child, cn)
+		// keep lists the child's surviving positions of the needed
+		// columns; out maps the exchange's old positions onto keep.
+		keep := make([]int, 0, len(cn))
+		out := make(colMap, len(cn))
+		for old, ok := range cn {
+			out[old] = -1
+			if ok {
+				out[old] = len(keep)
+				keep = append(keep, m.at(old))
+			}
+		}
+		if len(keep) < child.Schema().Len() {
+			child, m = narrow(child, keep), out
+		}
+		t.Child = child
+		if m != nil {
+			t.Part.Keys = m.keys(t.Part.Keys)
+		}
+		return t, m
+	case *plan.Join:
+		return pruneJoin(t, need)
+	case *plan.Select:
+		cn := append([]bool(nil), need...)
+		markExpr(cn, t.Pred)
+		child, m := pruneColumns(t.Child, cn)
+		t.Child = child
+		if m != nil {
+			t.Pred = m.expr(t.Pred)
+		}
+		return t, m
+	case *plan.Project:
+		cn := make([]bool, t.Child.Schema().Len())
+		for _, ex := range t.Exprs {
+			markExpr(cn, ex)
+		}
+		child, m := pruneColumns(t.Child, cn)
+		t.Child = child
+		if m != nil {
+			exprs := make([]expr.Expr, len(t.Exprs))
+			for i, ex := range t.Exprs {
+				exprs[i] = m.expr(ex)
+			}
+			t.Exprs = exprs
+		}
+		return t, nil
+	case *plan.Aggregate:
+		cn := make([]bool, t.Child.Schema().Len())
+		for _, g := range t.GroupBy {
+			cn[g] = true
+		}
+		for _, sp := range t.Specs {
+			if sp.Col >= 0 {
+				cn[sp.Col] = true
+			}
+		}
+		child, m := pruneColumns(t.Child, cn)
+		t.Child = child
+		if m != nil {
+			t.GroupBy = m.keys(t.GroupBy)
+			specs := append([]algebra.AggSpec(nil), t.Specs...)
+			for i := range specs {
+				if specs[i].Col >= 0 {
+					specs[i].Col = m.at(specs[i].Col)
+				}
+			}
+			t.Specs = specs
+		}
+		return t, nil
+	case *plan.Sort:
+		cn := append([]bool(nil), need...)
+		for _, c := range t.Cols {
+			cn[c] = true
+		}
+		child, m := pruneColumns(t.Child, cn)
+		t.Child = child
+		if m != nil {
+			t.Cols = m.keys(t.Cols)
+		}
+		return t, m
+	case *plan.Distinct:
+		// Duplicates are defined over every column.
+		child, m := pruneColumns(t.Child, allCols(t.Child.Schema().Len()))
+		t.Child = child
+		return t, m
+	case *plan.Limit:
+		child, m := pruneColumns(t.Child, need)
+		t.Child = child
+		return t, m
+	}
+	return n, nil // Scan, IndexProbe: leaves keep their width
+}
+
+// pruneJoin splits the parent's need over the join's inputs, adds the
+// keys and the residual's columns, and rebuilds Out from what the
+// children kept. Out and Residual are in restored order: tree-right
+// comes first when Swapped.
+func pruneJoin(j *plan.Join, need []bool) (plan.Node, colMap) {
+	lw, rw := j.Left.Schema().Len(), j.Right.Schema().Len()
+	// side maps an Out position onto its tree input: left reports the
+	// tree-left child, i the position there.
+	side := func(p int) (left bool, i int) {
+		if j.Swapped {
+			if p < rw {
+				return false, p
+			}
+			return true, p - rw
+		}
+		if p < lw {
+			return true, p
+		}
+		return false, p - lw
+	}
+	cn := append([]bool(nil), need...)
+	markExpr(cn, j.Residual)
+	ln, rn := make([]bool, lw), make([]bool, rw)
+	for p, ok := range cn {
+		if !ok {
+			continue
+		}
+		if left, i := side(p); left {
+			ln[i] = true
+		} else {
+			rn[i] = true
+		}
+	}
+	for _, k := range j.LeftKeys {
+		ln[k] = true
+	}
+	for _, k := range j.RightKeys {
+		rn[k] = true
+	}
+	left, lm := pruneColumns(j.Left, ln)
+	right, rm := pruneColumns(j.Right, rn)
+	j.Left, j.Right = left, right
+	if lm == nil && rm == nil {
+		return j, nil
+	}
+	j.LeftKeys, j.RightKeys = lm.keys(j.LeftKeys), rm.keys(j.RightKeys)
+	// The children's offsets in the new Out.
+	loff, roff := 0, left.Schema().Len()
+	if j.Swapped {
+		loff, roff = right.Schema().Len(), 0
+	}
+	m := make(colMap, lw+rw)
+	cols := make([]value.Column, left.Schema().Len()+right.Schema().Len())
+	for p := range m {
+		isLeft, i := side(p)
+		sm, off := rm, roff
+		if isLeft {
+			sm, off = lm, loff
+		}
+		m[p] = -1
+		if np := sm.at(i); np >= 0 {
+			m[p] = np + off
+			cols[np+off] = j.Out.Column(p)
+		}
+	}
+	j.Out = value.NewSchema(cols...)
+	j.Residual = m.expr(j.Residual)
+	return j, m
+}
+
+// narrow wraps n in a pure column-remap Project keeping the given output
+// positions, rendered with the real column names.
+func narrow(n plan.Node, keep []int) plan.Node {
+	in := n.Schema()
+	exprs := make([]expr.Expr, len(keep))
+	names := make([]string, len(keep))
+	for i, k := range keep {
+		c := in.Column(k)
+		col := expr.NewColIdx(k, c.Kind)
+		col.Name = c.Name
+		exprs[i], names[i] = col, c.Name
+	}
+	return &plan.Project{Child: n, Exprs: exprs, Names: names, Out: in.Project(keep), EstRows: plan.EstRows(n)}
 }
 
 // ---------- rule group: point-query index probes ----------
